@@ -172,10 +172,15 @@ const refErrTol = 1e-8
 // (N/refSinks)-th particle by ID.
 const refSinks = 512
 
+// probeSeed is the seed of the force probe's state.  It is the benchmark's
+// own constant, not the program's default seed, so that force_rms_err
+// moves only when the solver does.
+const probeSeed = 12345
+
 // forceError measures the force accuracy of the workload's configured
 // solver.  The probe state is the initial conditions of one fixed seed
-// (DefaultConfig's), generated at the workload's final redshift so that it
-// is as clustered as the end of a Run.  The seed is fixed because the
+// (probeSeed), generated at the workload's final redshift so that it is as
+// clustered as the end of a Run.  The seed is fixed because the
 // error of a 16^3 box varies 20% and more between realizations, far more
 // than any change worth catching; a fixed probe repeats exactly.
 //
@@ -187,7 +192,7 @@ const refSinks = 512
 // acceleration dominate.
 func forceError(cfg twohot.Config) (float64, error) {
 	probe := cfg
-	probe.Seed = twohot.DefaultConfig().Seed
+	probe.Seed = probeSeed
 	probe.ZInit, probe.ZFinal = cfg.ZFinal, 0
 	probe.CheckpointEvery = 0
 	probe.Analysis = twohot.AnalysisConfig{}

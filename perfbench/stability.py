@@ -4,9 +4,10 @@ median, quartiles and spread (interquartile range over median).
 
 Run from the repository root, for example:
 
-    python3 perfbench/stability.py --runs 10 --first-seed 1 --out /tmp/set1.json
+    python3 perfbench/stability.py --first-seed 1 --out set1.json
 
-The spreads are what BENCHMARK.json's bounds are set against.
+It runs every workload of BENCHMARK.json on RUNS consecutive seeds.  The
+spreads are what BENCHMARK.json's bounds are set against.
 """
 
 import argparse
@@ -15,22 +16,22 @@ import statistics
 import subprocess
 import sys
 
+RUNS = 10  # seeds per workload
+
 
 def main():
     bench = json.load(open("BENCHMARK.json"))
     ap = argparse.ArgumentParser()
-    ap.add_argument("--runs", type=int, default=10, help="seeds per workload")
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
     ap.add_argument("--out", help="write all samples and statistics as JSON here")
     args = ap.parse_args()
 
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     result = {}
-    for name in args.workloads.split(","):
+    for name in (w["name"] for w in bench["workloads"]):
         samples = {m: [] for m in bounds}
         drift = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(args.first_seed, args.first_seed + RUNS):
             cmd = bench["command"] + ["--workload", name, "--seed", str(seed),
                                       "--seconds", str(bench["run_seconds"]), "--trace", "0"]
             out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout

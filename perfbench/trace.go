@@ -141,32 +141,52 @@ func (s tracedStepper) Synchronize(f step.Forcer, p *particle.Set, clk *step.Clo
 	return s.Stepper.Synchronize(f, p, clk)
 }
 
-// measureTraced runs the workload untraced and then traced, one whole Run
-// each, checks that both end in the same state, and reports the per-layer
-// metrics of the traced Run.
+// measureTraced runs the workload four times, one whole Run each: untraced,
+// traced, traced, untraced.  Every Run must end in the state of the first,
+// and the two traced Runs must make the same exact counts.  The per-layer
+// metrics are the first traced Run's.  trace.overhead_frac compares the
+// summed rates of the traced and the untraced Runs; the symmetric order
+// cancels a CPU speed that drifts steadily over the four Runs.
 func measureTraced(w workload, o options) (measurement, error) {
-	var m measurement
-	plain, err := runOnce(w, o, nil)
-	if err != nil {
-		return m, err
+	var (
+		m       measurement
+		tracers [2]tracer
+		runs    [4]runResult
+	)
+	for i := range runs {
+		var extra func(twohot.Config) ([]twohot.Option, error)
+		if i == 1 || i == 2 {
+			extra = tracers[i-1].options
+		}
+		r, err := runOnce(w, o, extra)
+		if err != nil {
+			return m, err
+		}
+		if i > 0 && r.failure == "" && r.digest != runs[0].digest {
+			r.failure = "final state differs from the first untraced run"
+		}
+		runs[i] = r
 	}
-	var t tracer
-	traced, err := runOnce(w, o, t.options)
-	if err != nil {
-		return m, err
+	counts := [2]map[string]float64{tracers[0].layers(), tracers[1].layers()}
+	for k := range counts {
+		counts[k]["sdf.checkpoint_bytes"] = float64(runs[1+k].ckptSize)
 	}
-	if traced.failure == "" && traced.digest != plain.digest {
-		traced.failure = "traced run ended in a different state than the untraced run"
+	for _, d := range perLayer {
+		a, b := counts[0][d.name], counts[1][d.name]
+		if d.exact && a != b && runs[2].failure == "" {
+			runs[2].failure = fmt.Sprintf("exact count %s was %v in the first traced run, %v in the second", d.name, a, b)
+		}
 	}
-	m.check(w.name, plain)
-	m.check(w.name, traced)
+	for _, r := range runs {
+		m.check(w.name, r)
+	}
 	if m.failed > 0 {
 		return m, nil
 	}
 
-	v := t.layers()
+	v := counts[0]
 	var setupNew, setupIC []float64
-	for _, r := range []runResult{plain, traced} {
+	for _, r := range runs {
 		for _, s := range r.setups {
 			setupNew = append(setupNew, s.newDur.Seconds())
 			setupIC = append(setupIC, s.icDur.Seconds())
@@ -174,12 +194,12 @@ func measureTraced(w workload, o options) (measurement, error) {
 	}
 	v["setup.new_s"] = median(setupNew)
 	v["ic.generate_s"] = median(setupIC)
+	traced := runs[1]
 	v["runtime.alloc_mb_per_step"] = float64(traced.allocs) / (1 << 20) / float64(traced.steps)
 	v["runtime.gc_count"] = float64(traced.gcs)
-	v["sdf.checkpoint_bytes"] = float64(traced.ckptSize)
 	rate := func(r runResult) float64 { return r.particleSteps() / r.wall.Seconds() }
-	v["trace.overhead_frac"] = 1 - rate(traced)/rate(plain)
-	build, walk, err := replayScaling(w.config(o.seed, o.outDir), t.snapshot)
+	v["trace.overhead_frac"] = 1 - (rate(runs[1])+rate(runs[2]))/(rate(runs[0])+rate(runs[3]))
+	build, walk, err := replayScaling(w.config(o.seed, o.outDir), tracers[0].snapshot)
 	if err != nil {
 		return m, err
 	}

@@ -47,7 +47,7 @@ var workloads = []workload{
 	},
 	{
 		name:       "treepm",
-		why:        "mesh long range + tree short range with no multipole evaluations, in-situ analysis and checkpoints; bypasses multipole changes",
+		why:        "mesh long range + tree short range, in-situ analysis and checkpoints; under 0.1% of its interactions are multipole, so it bypasses multipole changes",
 		nGrid:      32,
 		nSteps:     20,
 		dlnA:       0.1,
